@@ -1,9 +1,11 @@
 //! The Carac engine facade.
 
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use carac_datalog::hasher::{FxHashMap, FxHashSet};
-use carac_datalog::magic::{is_magic_name, magic_rewrite, QueryBinding};
+use carac_datalog::magic::{is_magic_name, magic_template, seed, MagicTemplate, QueryBinding};
 use carac_datalog::{analyze_with, prune_with, Analysis, AnalysisOptions, Program};
 use carac_exec::{
     interpreter, update_kernel, BackendKind, ExecContext, ExecError, Incremental, JitConfig,
@@ -39,6 +41,33 @@ pub(crate) struct LiveSession {
     pub(crate) ctx: ExecContext,
     pub(crate) incremental: Incremental,
 }
+
+/// A goal-directed query prepared for one `(goal, adornment)`: the
+/// constant-free magic rewrite plus a context with its facts loaded and its
+/// indexes built.  Each query of that shape clones the context and adds
+/// only its seed and the engine's extra facts.
+#[derive(Debug)]
+struct PreparedQuery {
+    /// The magic template; `None` when the goal falls back to full
+    /// evaluation of the engine's own program (or, for an extensional goal,
+    /// needs no evaluation at all).
+    template: Option<MagicTemplate>,
+    /// The relation holding the answers in the evaluated program.
+    answer: RelId,
+    /// The evaluated program's facts and indexes, without the seed and
+    /// without the engine's extra facts.
+    ctx: ExecContext,
+}
+
+impl PreparedQuery {
+    /// The program a query of this shape evaluates.
+    fn program<'a>(&'a self, original: &'a Program) -> &'a Program {
+        self.template.as_ref().map_or(original, |t| &t.program)
+    }
+}
+
+/// Prepared queries keyed by `(goal, adornment)`.
+type QueryCache = FxHashMap<(RelId, Vec<bool>), Arc<PreparedQuery>>;
 
 /// The user-facing engine: a validated [`Program`] plus an
 /// [`EngineConfig`], with facts optionally added incrementally before the
@@ -97,7 +126,17 @@ pub struct Carac {
     /// the in-memory state changes.  Detached whenever the live session it
     /// describes is discarded; see `persist.rs` for the full protocol.
     pub(crate) journal: Option<carac_storage::JournalWriter>,
+    /// Prepared goal-directed queries, filled by [`Carac::query`] and
+    /// [`Carac::explain_tuple`].  They depend on the program, the config and
+    /// the extra facts, so every path that changes those clears the cache.
+    prepared: Mutex<QueryCache>,
 }
+
+// Queries take `&self`, so one engine may serve many threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Carac>();
+};
 
 impl Carac {
     /// Creates an engine with the default configuration (adaptive JIT with
@@ -109,6 +148,7 @@ impl Carac {
             extra_facts: Vec::new(),
             live: None,
             journal: None,
+            prepared: Mutex::default(),
         }
     }
 
@@ -213,6 +253,13 @@ impl Carac {
     /// pattern) fall back to full evaluation; the fallback is reported on
     /// [`QueryAnswer::fallback`] and the result's `stats().magic_fallback`.
     ///
+    /// The rewrite depends only on which arguments are bound, not on their
+    /// values.  The first query per goal and bound/free pattern therefore
+    /// pays the rewrite and the loading of the facts into an indexed
+    /// context; later queries of that shape start from a copy of that
+    /// context and add only their constants.  Changing the config or the
+    /// facts drops the prepared queries.
+    ///
     /// ```
     /// use carac::{Carac, QueryBinding};
     /// use carac_datalog::parser::parse;
@@ -245,10 +292,11 @@ impl Carac {
             }
             .into());
         }
-        // Extensional relations need no evaluation at all: load the facts
-        // and filter.
+        let prepared = self.prepared(rel, pattern.iter().map(QueryBinding::is_bound).collect())?;
+        // Extensional relations need no evaluation at all: add the extra
+        // facts and filter.
         if decl.is_edb {
-            let mut ctx = ExecContext::prepare(&self.program, self.config.use_indexes)?;
+            let mut ctx = prepared.ctx.clone();
             for (r, tuple) in &self.extra_facts {
                 ctx.insert_fact(*r, tuple.clone())?;
             }
@@ -262,26 +310,82 @@ impl Carac {
                 decl.name.clone(),
             ));
         }
-        let extra_rels: Vec<RelId> = self.extra_facts.iter().map(|&(r, _)| r).collect();
-        let rewritten = magic_rewrite(&self.program, rel, pattern, &extra_rels)?;
-        let mut ctx = self.run_context_for(&rewritten.program, &rewritten.magic_relations)?;
-        ctx.stats.magic_fallback = rewritten.fallback;
-        let answer_rel = rewritten
-            .program
-            .relation_by_name(&rewritten.answer_relation)?;
+        let ctx = self.run_prepared(&prepared, pattern)?;
+        let fallback = ctx.stats.magic_fallback;
         // Recursive demand can seed the goal's magic set with more than the
         // query constants, so the adorned relation may hold answers for
         // other demanded bindings too — the pattern filter trims it to
         // exactly the query's answers.
-        let tuples = filter_pattern(ctx.derived_tuples(answer_rel), pattern);
+        let tuples = filter_pattern(ctx.derived_tuples(prepared.answer), pattern);
         let derived_facts = ctx.storage.total_derived();
+        let answer_relation = prepared
+            .template
+            .as_ref()
+            .map_or(&decl.name, |t| &t.answer_relation);
         Ok(QueryAnswer::new(
             tuples,
             ctx.stats,
-            rewritten.fallback,
+            fallback,
             derived_facts,
-            rewritten.answer_relation,
+            answer_relation.clone(),
         ))
+    }
+
+    /// The prepared query for `goal` under `adornment`, rewriting the
+    /// program and loading its facts on first use.
+    fn prepared(
+        &self,
+        goal: RelId,
+        adornment: Vec<bool>,
+    ) -> Result<Arc<PreparedQuery>, CaracError> {
+        let key = (goal, adornment);
+        if let Some(prepared) = self.query_cache().get(&key) {
+            return Ok(Arc::clone(prepared));
+        }
+        // Prepared outside the lock: concurrent first queries of one shape
+        // may both prepare, identically, and the first insertion wins.
+        let extra_rels: Vec<RelId> = self.extra_facts.iter().map(|&(r, _)| r).collect();
+        let template = magic_template(&self.program, goal, &key.1, &extra_rels)?;
+        let (ctx, answer) = match &template {
+            Some(t) => (
+                self.load_context(&t.program, &t.magic_relations)?,
+                t.program.relation_by_name(&t.answer_relation)?,
+            ),
+            None => (self.load_context(&self.program, &[])?, goal),
+        };
+        let prepared = Arc::new(PreparedQuery {
+            template,
+            answer,
+            ctx,
+        });
+        Ok(Arc::clone(
+            self.query_cache().entry(key).or_insert(prepared),
+        ))
+    }
+
+    /// The prepared-query cache.  Entries are inserted whole, so the map
+    /// stays valid even if a thread panicked while holding the lock.
+    fn query_cache(&self) -> MutexGuard<'_, QueryCache> {
+        self.prepared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Evaluates a prepared query for `pattern` on a copy of its context.
+    fn run_prepared(
+        &self,
+        prepared: &PreparedQuery,
+        pattern: &[QueryBinding],
+    ) -> Result<ExecContext, CaracError> {
+        let seed_fact = prepared
+            .template
+            .as_ref()
+            .map(|t| (t.seed_relation, seed(pattern)));
+        let mut ctx = self.execute(
+            prepared.ctx.clone(),
+            prepared.program(&self.program),
+            seed_fact.as_ref(),
+        )?;
+        ctx.stats.magic_fallback = prepared.template.is_none();
+        Ok(ctx)
     }
 
     /// Explains **why** a derived fact holds: returns a minimal-depth
@@ -345,20 +449,22 @@ impl Carac {
             .iter()
             .map(|&v| QueryBinding::Bound(v))
             .collect();
-        let extra_rels: Vec<RelId> = self.extra_facts.iter().map(|&(r, _)| r).collect();
-        let rewritten = magic_rewrite(&self.program, rel, &pattern, &extra_rels)?;
-        let ctx = self.run_context_for(&rewritten.program, &rewritten.magic_relations)?;
+        let prepared = self.prepared(rel, vec![true; decl.arity])?;
+        let ctx = self.run_prepared(&prepared, &pattern)?;
 
         // Collapse the evaluated relations back onto the original program's
         // ids: an original relation's cone is its own facts plus every
         // adorned variant's.
+        let adorned_map = prepared
+            .template
+            .as_ref()
+            .map_or(&[][..], |t| &t.adorned_map);
         let mut cone: FxHashMap<RelId, FxHashSet<Tuple>> = FxHashMap::default();
-        for evaluated in rewritten.program.relations() {
+        for evaluated in prepared.program(&self.program).relations() {
             if is_magic_name(&evaluated.name) {
                 continue;
             }
-            let original = rewritten
-                .adorned_map
+            let original = adorned_map
                 .iter()
                 .find(|(adorned, _)| *adorned == evaluated.name)
                 .map_or(evaluated.name.as_str(), |(_, original)| original.as_str());
@@ -422,48 +528,60 @@ impl Carac {
     /// optimizer hints.  The derived fact set is identical either way.
     fn run_context(&self) -> Result<ExecContext, CaracError> {
         if !self.config.prune {
-            return self.run_context_for(&self.program, &[]);
+            return self.run_context_hinted(&self.program, FxHashMap::default());
         }
         let pruned = prune_with(&self.program, &self.analysis_options(false), true);
-        self.run_context_hinted(&pruned.program, &[], pruned.analysis.interval_hints)
+        self.run_context_hinted(&pruned.program, pruned.analysis.interval_hints)
     }
 
-    /// [`Carac::run_context`] over an explicit program: the goal-directed
-    /// query path evaluates a magic-rewritten variant of `self.program`
-    /// through the same engine configuration.  `program` must declare the
-    /// engine's relations with their original ids (the rewrite preserves
-    /// them), so the registered extra facts stay valid.  `magic` names the
-    /// rewrite's demand-guard predicates — installed explicitly on the
-    /// context (the optimizer scores them as high-selectivity) rather than
-    /// inferred from relation names, so ordinary programs whose relations
-    /// happen to share the reserved prefix are never mis-scored.
-    fn run_context_for(
-        &self,
-        program: &Program,
-        magic: &[String],
-    ) -> Result<ExecContext, CaracError> {
-        self.run_context_hinted(program, magic, FxHashMap::default())
-    }
-
-    /// [`Carac::run_context_for`] with column-interval facts from the static
-    /// analyzer installed before evaluation begins, so every reordering the
-    /// run performs sees the refined comparison selectivities.
+    /// Evaluates `program` — the engine's own or its pruned variant — with
+    /// column-interval facts from the static analyzer installed before
+    /// evaluation begins, so every reordering the run performs sees the
+    /// refined comparison selectivities.
     fn run_context_hinted(
         &self,
         program: &Program,
-        magic: &[String],
         interval_hints: FxHashMap<(RelId, usize), (u32, u32)>,
     ) -> Result<ExecContext, CaracError> {
-        let mut ctx = ExecContext::prepare(program, self.config.use_indexes)?;
+        let mut ctx = self.load_context(program, &[])?;
         if !interval_hints.is_empty() {
             ctx.set_interval_hints(interval_hints);
         }
+        self.execute(ctx, program, None)
+    }
+
+    /// A context for `program`: relations registered, indexes built and the
+    /// program's facts loaded.  `program` must declare the engine's
+    /// relations with their original ids (the magic rewrite preserves them),
+    /// so the registered extra facts stay valid.  `magic` names a rewrite's
+    /// demand-guard predicates — installed explicitly on the context (the
+    /// optimizer scores them as high-selectivity) rather than inferred from
+    /// relation names, so ordinary programs whose relations happen to share
+    /// the reserved prefix are never mis-scored.
+    fn load_context(&self, program: &Program, magic: &[String]) -> Result<ExecContext, CaracError> {
+        let mut ctx = ExecContext::prepare(program, self.config.use_indexes)?;
         if !magic.is_empty() {
             let rels = magic
                 .iter()
                 .map(|name| program.relation_by_name(name))
                 .collect::<Result<_, _>>()?;
             ctx.set_magic_relations(rels);
+        }
+        Ok(ctx)
+    }
+
+    /// Runs `program` to its fixpoint on a context from
+    /// [`Carac::load_context`]: inserts a prepared query's `seed` (the fact
+    /// a magic template leaves out), sets the worker budget, adds the extra
+    /// facts and runs the configured engine.
+    fn execute(
+        &self,
+        mut ctx: ExecContext,
+        program: &Program,
+        seed: Option<&(RelId, Tuple)>,
+    ) -> Result<ExecContext, CaracError> {
+        if let Some((rel, tuple)) = seed {
+            ctx.insert_fact(*rel, tuple.clone())?;
         }
         ctx.set_parallelism(self.config.parallelism)?;
         ctx.set_verify(self.config.verify);
@@ -493,8 +611,15 @@ impl Carac {
                 }
                 ExecutionMode::AheadOfTime(aot) => {
                     // The offline sort is *not* charged to execution time.
-                    let (plan, _) =
-                        prepare_plan(program, self.config.strategy, aot, &self.extra_facts)?;
+                    // It counts the seed among the program's facts.
+                    let facts: Cow<'_, [(RelId, Tuple)]> = match seed {
+                        Some(seed) => std::iter::once(seed)
+                            .chain(&self.extra_facts)
+                            .cloned()
+                            .collect(),
+                        None => Cow::Borrowed(&self.extra_facts),
+                    };
+                    let (plan, _) = prepare_plan(program, self.config.strategy, aot, &facts)?;
                     self.verify_generated_plan(&plan, program)?;
                     let started = Instant::now();
                     if aot.online_reorder {
@@ -536,7 +661,7 @@ impl Carac {
     /// plan against `program` before it executes, when
     /// [`EngineConfig::verify`] is on.  Covers the ordinary, pruned and
     /// magic-rewritten paths alike — they all flow through
-    /// [`Carac::run_context_hinted`].  A rejected plan is an engine bug
+    /// [`Carac::execute`].  A rejected plan is an engine bug
     /// surfaced as a typed [`carac_exec::ExecError::Verify`] instead of a
     /// wrong answer or a crash mid-query.
     fn verify_generated_plan(&self, plan: &IRNode, program: &Program) -> Result<(), CaracError> {
@@ -576,16 +701,13 @@ impl Carac {
         // fixpoint evaluated.
         let (ctx, incremental) = if self.config.prune {
             let pruned = prune_with(&self.program, &self.analysis_options(true), true);
-            let ctx = self.run_context_hinted(
-                &pruned.program,
-                &[],
-                pruned.analysis.interval_hints.clone(),
-            )?;
+            let ctx =
+                self.run_context_hinted(&pruned.program, pruned.analysis.interval_hints.clone())?;
             let incremental =
                 Incremental::new(&pruned.program, &self.extra_facts, self.live_kernel());
             (ctx, incremental)
         } else {
-            let ctx = self.run_context_for(&self.program, &[])?;
+            let ctx = self.run_context_hinted(&self.program, FxHashMap::default())?;
             let incremental =
                 Incremental::new(&self.program, &self.extra_facts, self.live_kernel());
             (ctx, incremental)
@@ -609,10 +731,14 @@ impl Carac {
 
     /// Drops the live session together with its journal (the shared body of
     /// every invalidation path — a journal must never outlive the session
-    /// lineage it records).
+    /// lineage it records) and the prepared queries.
     pub(crate) fn discard_session(&mut self) {
         self.live = None;
         self.journal = None;
+        self.prepared
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Applies a batch of EDB insertions and retractions to the live

@@ -225,6 +225,9 @@ pub struct ProgramBuilder {
     relations: Vec<(String, usize)>,
     raw_rules: Vec<RawRule>,
     raw_facts: Vec<(String, Vec<TermSpec>)>,
+    /// Facts taken over by `RelId` from an already validated program; they
+    /// precede `raw_facts` in the built program.
+    resolved_facts: Vec<(RelId, Tuple)>,
     raw_aggregates: Vec<RawAggregate>,
     symbols: SymbolTable,
 }
@@ -278,6 +281,16 @@ impl ProgramBuilder {
     /// Adds a ground fact with arbitrary term specs (must all be constants).
     pub fn fact(&mut self, rel: &str, terms: &[TermSpec]) -> &mut Self {
         self.raw_facts.push((rel.to_string(), terms.to_vec()));
+        self
+    }
+
+    /// Takes over the facts of an already validated program by `RelId`,
+    /// skipping the by-name resolution of [`ProgramBuilder::fact`].  The
+    /// caller must declare that program's relations first and in order, so
+    /// every id keeps its meaning.  In the built program these facts come
+    /// before all facts added by name.
+    pub(crate) fn resolved_facts(&mut self, facts: &[(RelId, Tuple)]) -> &mut Self {
+        self.resolved_facts.extend_from_slice(facts);
         self
     }
 
@@ -425,8 +438,8 @@ impl ProgramBuilder {
             decls[rel.index()].is_edb = false;
         }
 
-        // 4. Resolve facts.
-        let mut facts: Vec<(RelId, Tuple)> = Vec::new();
+        // 4. Resolve facts (after the ones taken over by id).
+        let mut facts: Vec<(RelId, Tuple)> = std::mem::take(&mut self.resolved_facts);
         for (rel_name, terms) in &self.raw_facts {
             let rel = lookup(rel_name, &by_name)?;
             let mut values = Vec::with_capacity(terms.len());

@@ -18,6 +18,12 @@
 //!   bound column spawns a magic rule propagating the demand,
 //! * the query constants seed the goal's magic predicate with one fact.
 //!
+//! The constants enter only through that seed.  [`magic_template`] builds
+//! everything else from the goal and its adornment alone, so a caller
+//! answering many queries of one shape rewrites once and adds each query's
+//! [`seed`]; [`magic_rewrite`] is the template plus the seed as the last
+//! fact.
+//!
 //! The rewritten program is an ordinary validated [`Program`]: it
 //! stratifies, plans and executes through the existing pipeline unchanged,
 //! on every engine (interpreter, specialized kernels, bytecode VM).
@@ -46,7 +52,7 @@
 use std::collections::VecDeque;
 
 use carac_storage::hasher::FxHashSet;
-use carac_storage::{CmpOp, RelId, Value};
+use carac_storage::{CmpOp, RelId, Tuple, Value};
 
 use crate::ast::{Atom, Literal, Rule, Term};
 use crate::builder::{ProgramBuilder, TermSpec};
@@ -202,6 +208,41 @@ fn sip_order(positives: &[&Literal], head_bound: &[bool]) -> Vec<usize> {
     order
 }
 
+/// The constant-free part of a magic rewrite: everything [`magic_rewrite`]
+/// produces for one `(goal, adornment)` except the seed fact.  Queries that
+/// bind the same argument positions share one template and differ only in
+/// their [`seed`].
+#[derive(Debug, Clone)]
+pub struct MagicTemplate {
+    /// The rewritten program without the seed: relations, adorned and magic
+    /// rules, kept original rules and aggregations, and the original facts
+    /// in their original order.
+    pub program: Program,
+    /// Name of the goal's adorned relation (see
+    /// [`MagicProgram::answer_relation`]).
+    pub answer_relation: String,
+    /// Names of the generated magic predicates, the goal's first.
+    pub magic_relations: Vec<String>,
+    /// Adorned relation name → the original relation it specializes.
+    pub adorned_map: Vec<(String, String)>,
+    /// The goal's magic predicate: the relation a query's [`seed`] goes to.
+    pub seed_relation: RelId,
+}
+
+/// The seed fact of a query: its bound constants in column order, demanded
+/// unconditionally in the goal's magic predicate.
+pub fn seed(pattern: &[QueryBinding]) -> Tuple {
+    Tuple::new(
+        pattern
+            .iter()
+            .filter_map(|b| match b {
+                QueryBinding::Bound(v) => Some(*v),
+                QueryBinding::Free => None,
+            })
+            .collect(),
+    )
+}
+
 /// Rewrites `program` for the goal `goal` queried under `pattern` (one
 /// binding per column).  `extra_fact_rels` lists relations that receive
 /// facts at runtime beyond the program's own (`Carac`'s `add_fact_*`
@@ -211,22 +252,55 @@ fn sip_order(positives: &[&Literal], head_bound: &[bool]) -> Vec<usize> {
 ///
 /// Returns the rewritten program (see [`MagicProgram`]), or the original
 /// program with [`MagicProgram::fallback`] set when the goal cannot soundly
-/// be demand-restricted.
+/// be demand-restricted.  The rewritten program is the
+/// [`magic_template`] of the pattern's adornment with the [`seed`] appended
+/// as its last fact.
 pub fn magic_rewrite(
     program: &Program,
     goal: RelId,
     pattern: &[QueryBinding],
     extra_fact_rels: &[RelId],
 ) -> Result<MagicProgram, DatalogError> {
+    let adornment: Vec<bool> = pattern.iter().map(QueryBinding::is_bound).collect();
+    let Some(template) = magic_template(program, goal, &adornment, extra_fact_rels)? else {
+        return Ok(MagicProgram {
+            program: program.clone(),
+            answer_relation: program.relation(goal).name.clone(),
+            fallback: true,
+            magic_relations: Vec::new(),
+            adorned_map: Vec::new(),
+        });
+    };
+    let mut rewritten = template.program;
+    rewritten.push_fact(template.seed_relation, seed(pattern));
+    Ok(MagicProgram {
+        program: rewritten,
+        answer_relation: template.answer_relation,
+        fallback: false,
+        magic_relations: template.magic_relations,
+        adorned_map: template.adorned_map,
+    })
+}
+
+/// The constant-free half of [`magic_rewrite`]: rewrites `program` for the
+/// goal `goal` under `adornment` (`true` = bound), with `extra_fact_rels`
+/// as in [`magic_rewrite`].  Returns `Ok(None)` when the goal falls back to
+/// full evaluation of the unmodified program.
+pub fn magic_template(
+    program: &Program,
+    goal: RelId,
+    adornment: &[bool],
+    extra_fact_rels: &[RelId],
+) -> Result<Option<MagicTemplate>, DatalogError> {
     let goal_decl = program.relation(goal);
-    if pattern.len() != goal_decl.arity {
+    if adornment.len() != goal_decl.arity {
         return Err(DatalogError::ArityMismatch {
             relation: goal_decl.name.clone(),
             expected: goal_decl.arity,
-            actual: pattern.len(),
+            actual: adornment.len(),
         });
     }
-    let adornment: Vec<bool> = pattern.iter().map(QueryBinding::is_bound).collect();
+    let adornment = adornment.to_vec();
 
     // --- eligibility: which relations may be demand-restricted -----------
     let mut negated_anywhere: FxHashSet<RelId> = FxHashSet::default();
@@ -250,13 +324,7 @@ pub fn magic_rewrite(
     };
 
     if !adornment.iter().any(|&b| b) || !eligible(goal) {
-        return Ok(MagicProgram {
-            program: program.clone(),
-            answer_relation: goal_decl.name.clone(),
-            fallback: true,
-            magic_relations: Vec::new(),
-            adorned_map: Vec::new(),
-        });
+        return Ok(None);
     }
 
     // --- adornment worklist ----------------------------------------------
@@ -471,11 +539,9 @@ pub fn magic_rewrite(
         }
         rb.end();
     }
-    // All original facts (EDB inputs and any kept IDB base facts).
-    for (rel, tuple) in program.facts() {
-        let specs: Vec<TermSpec> = tuple.values().iter().map(|&v| TermSpec::Value(v)).collect();
-        builder.fact(&program.relation(*rel).name, &specs);
-    }
+    // All original facts (EDB inputs and any kept IDB base facts), taken
+    // over by id: they were validated with the source program.
+    builder.resolved_facts(program.facts());
     // Kept aggregations.
     for spec in kept_aggs {
         builder.aggregate(
@@ -484,24 +550,15 @@ pub fn magic_rewrite(
             &spec.aggs,
         );
     }
-    // The seed: the query's constants, demanded unconditionally.
-    let seed: Vec<TermSpec> = pattern
-        .iter()
-        .filter_map(|b| match b {
-            QueryBinding::Bound(v) => Some(TermSpec::Value(*v)),
-            QueryBinding::Free => None,
-        })
-        .collect();
-    builder.fact(&magic_name(&goal_decl.name, &adornment), &seed);
-
     let rewritten = builder.build()?;
-    Ok(MagicProgram {
+    let seed_relation = rewritten.relation_by_name(&magic_name(&goal_decl.name, &adornment))?;
+    Ok(Some(MagicTemplate {
         answer_relation: adorned_name(&goal_decl.name, &adornment),
         program: rewritten,
-        fallback: false,
         magic_relations,
         adorned_map,
-    })
+        seed_relation,
+    }))
 }
 
 /// Helper reading a relation's name (kept out of the closure-captured

@@ -84,6 +84,13 @@ impl Program {
         &self.facts
     }
 
+    /// Appends one ground fact.  The caller guarantees that `tuple` matches
+    /// the arity of `rel`; facts do not affect the stratification.
+    pub(crate) fn push_fact(&mut self, rel: RelId, tuple: Tuple) {
+        debug_assert_eq!(tuple.arity(), self.relation(rel).arity);
+        self.facts.push((rel, tuple));
+    }
+
     /// The stratified aggregations of the program, one per aggregate rule.
     pub fn aggregates(&self) -> &[AggregateSpec] {
         &self.aggregates

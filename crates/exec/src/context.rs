@@ -18,7 +18,11 @@ use crate::stats::RunStats;
 /// on the native stack across IR nodes — which is what makes every IR node
 /// boundary a safe point for switching between interpretation and compiled
 /// code (paper §V-B.3).
-#[derive(Debug)]
+///
+/// A context cloned after loading facts but before a run is a ready
+/// starting point for another run over the same facts; the engine's
+/// prepared goal-directed queries reuse their loaded facts this way.
+#[derive(Debug, Clone)]
 pub struct ExecContext {
     /// The relational storage.
     pub storage: StorageManager,

@@ -14,14 +14,18 @@
 //! `carac-analysis` — the "random adornments over the fig6/fig8 rule sets"
 //! suite below explores query patterns reproducibly.
 
+use std::sync::Barrier;
+
 use carac::knobs::BackendKind;
-use carac::{Carac, EngineConfig, QueryBinding};
+use carac::{Carac, EngineConfig, QueryAnswer, QueryBinding};
 use carac_analysis::generators::random_digraph;
 use carac_analysis::rng::SmallRng;
 use carac_analysis::{
     andersen, csda, cspa, inverse_functions, shortest_path, Formulation, Workload,
 };
-use carac_datalog::{Program, ProgramBuilder};
+use carac_datalog::magic::{magic_rewrite, seed};
+use carac_datalog::parser::parse;
+use carac_datalog::{Program, ProgramBuilder, TermSpec};
 use carac_storage::{Tuple, Value};
 
 const SEED: u64 = 0x000C_A2AC_2026;
@@ -342,5 +346,293 @@ fn same_generation_demand_propagates_through_non_linear_rules() {
     ] {
         let fallback = assert_query_matches(&p, "Sg", &pattern, &grid);
         assert!(!fallback);
+    }
+}
+
+/// The fig6/fig8 rule sets at test scale, both formulations.
+fn figure_programs() -> Vec<Program> {
+    let workloads = [
+        cspa(14, SEED),
+        csda(40, SEED),
+        andersen(12, SEED),
+        inverse_functions(10, SEED),
+    ];
+    workloads
+        .iter()
+        .flat_map(|w| Formulation::BOTH.map(|f| w.program(f).clone()))
+        .collect()
+}
+
+#[test]
+fn rewritten_facts_equal_the_by_name_builder_path() {
+    // The rewrite takes the source program's facts over by id; re-emitting
+    // each one by name through the builder, then the seed, must give the
+    // same facts in the same order.
+    let mut compared = 0;
+    for program in figure_programs() {
+        for decl in program.relations().iter().filter(|d| !d.is_edb) {
+            let mut pattern = vec![QueryBinding::Free; decl.arity];
+            pattern[0] = QueryBinding::bound_int(1);
+            let mp = magic_rewrite(&program, decl.id, &pattern, &[]).expect("rewrite");
+            if mp.fallback {
+                continue;
+            }
+            let mut b = ProgramBuilder::new();
+            b.with_symbols(program.symbols().clone());
+            for d in mp.program.relations() {
+                b.relation(&d.name, d.arity);
+            }
+            let by_name = |values: &[Value]| -> Vec<TermSpec> {
+                values.iter().map(|&v| TermSpec::Value(v)).collect()
+            };
+            for (rel, tuple) in program.facts() {
+                b.fact(&program.relation(*rel).name, &by_name(tuple.values()));
+            }
+            b.fact(&mp.magic_relations[0], &by_name(seed(&pattern).values()));
+            let expected = b.build().expect("facts-only program validates");
+            assert_eq!(
+                mp.program.facts(),
+                expected.facts(),
+                "{}: rewritten facts differ from the by-name builder path",
+                decl.name
+            );
+            compared += 1;
+        }
+    }
+    assert!(compared > 0, "no goal-directed rewrite was compared");
+}
+
+/// Everything a query answer must reproduce exactly, whether or not the
+/// engine answered a query of the same shape before: the tuples in order,
+/// the derived-fact count, the fallback flag and the work counters.
+#[derive(Debug, PartialEq)]
+struct Fingerprint {
+    tuples: Vec<Tuple>,
+    derived_facts: usize,
+    fallback: bool,
+    emitted: u64,
+    inserted: u64,
+    iterations: u64,
+    subqueries: u64,
+}
+
+impl From<QueryAnswer> for Fingerprint {
+    fn from(answer: QueryAnswer) -> Self {
+        let stats = answer.stats();
+        Fingerprint {
+            derived_facts: answer.derived_facts(),
+            fallback: answer.fallback(),
+            emitted: stats.tuples_emitted,
+            inserted: stats.tuples_inserted,
+            iterations: stats.iterations,
+            subqueries: stats.subqueries,
+            tuples: answer.into_tuples(),
+        }
+    }
+}
+
+/// One query: a relation and its pattern.
+type Query = (&'static str, Vec<QueryBinding>);
+
+/// A query shape: a relation and which of its columns are bound.
+type Shape = (&'static str, Vec<bool>);
+
+fn answer(engine: &Carac, (relation, pattern): &Query) -> Fingerprint {
+    engine
+        .query(relation, pattern)
+        .unwrap_or_else(|e| panic!("query {relation} {pattern:?} failed: {e}"))
+        .into()
+}
+
+/// A fresh engine's answer to `query`: nothing prepared beforehand.
+fn fresh_answer(program: &Program, config: EngineConfig, query: &Query) -> Fingerprint {
+    answer(&Carac::new(program.clone()).with_config(config), query)
+}
+
+/// Three rounds over `shapes` (relation, bound columns) in seeded order,
+/// each bound column drawing a seeded constant from `constants`: every
+/// shape is asked several times with different constants, interleaved with
+/// the other shapes.
+fn query_sequence(shapes: &[Shape], constants: &[Value], rng: &mut SmallRng) -> Vec<Query> {
+    let mut queries = Vec::new();
+    for _ in 0..3 {
+        let mut order: Vec<usize> = (0..shapes.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range_usize(0, i + 1));
+        }
+        for i in order {
+            let (relation, bound) = &shapes[i];
+            let pattern = bound
+                .iter()
+                .map(|&b| {
+                    if b {
+                        QueryBinding::Bound(constants[rng.gen_range_usize(0, constants.len())])
+                    } else {
+                        QueryBinding::Free
+                    }
+                })
+                .collect();
+            queries.push((*relation, pattern));
+        }
+    }
+    queries
+}
+
+/// Symbol-valued acquaintances: `Reach` appears under negation, so its
+/// queries fall back; `Chain` and `Stranger` stay goal-directed.
+fn people_program() -> Program {
+    parse(
+        "Knows(\"ann\", \"bob\"). Knows(\"bob\", \"cy\"). Knows(\"cy\", \"dee\").\n\
+         Knows(\"dee\", \"bob\"). Knows(\"eve\", \"ann\"). Knows(\"fay\", \"fay\").\n\
+         Person(x) :- Knows(x, y).\n\
+         Person(y) :- Knows(x, y).\n\
+         Reach(x, y) :- Knows(x, y).\n\
+         Reach(x, y) :- Reach(x, z), Knows(z, y).\n\
+         Chain(x, y) :- Knows(x, y).\n\
+         Chain(x, y) :- Knows(x, z), Chain(z, y).\n\
+         Stranger(x, y) :- Person(x), Person(y), !Reach(x, y).",
+    )
+    .expect("people program parses")
+}
+
+/// The warm-engine workloads: programs, their query shapes and constants.
+fn warm_workloads() -> Vec<(Program, Vec<Shape>, Vec<Value>)> {
+    let edges = random_digraph(40, 60, SEED + 6);
+    let ints: Vec<Value> = [0u32, 3, 7, 11, 19, 39, 9_999]
+        .into_iter()
+        .map(Value::int)
+        .collect();
+    let tc_shapes = vec![
+        ("Path", vec![true, false]),
+        ("Path", vec![false, true]),
+        ("Path", vec![true, true]),
+        ("Path", vec![false, false]), // all-free: fallback
+        ("Edge", vec![true, false]),  // extensional goal
+    ];
+    let people = people_program();
+    let names: Vec<Value> = ["ann", "bob", "cy", "dee", "eve", "fay"]
+        .iter()
+        .map(|n| people.symbols().lookup(n).expect("interned"))
+        .collect();
+    let people_shapes = vec![
+        ("Chain", vec![true, false]),
+        ("Chain", vec![false, true]),
+        ("Chain", vec![true, true]),
+        ("Stranger", vec![true, false]),
+        ("Reach", vec![true, false]), // negated: fallback
+        ("Knows", vec![false, true]), // extensional goal
+    ];
+    vec![
+        (tc_program(&edges, true), tc_shapes.clone(), ints.clone()),
+        (tc_program(&edges, false), tc_shapes, ints),
+        (people, people_shapes, names),
+    ]
+}
+
+#[test]
+fn warm_engine_answers_equal_fresh_engine_answers_across_the_grid() {
+    // One engine per config answers a seeded sequence of mixed-shape
+    // queries; every answer must equal a fresh engine's bit for bit.
+    let mut rng = SmallRng::seed_from_u64(SEED + 7);
+    for (program, shapes, constants) in warm_workloads() {
+        let queries = query_sequence(&shapes, &constants, &mut rng);
+        for (label, config) in engine_grid() {
+            let warm = Carac::new(program.clone()).with_config(config);
+            for query in &queries {
+                assert_eq!(
+                    answer(&warm, query),
+                    fresh_answer(&program, config, query),
+                    "{label}: warm and fresh engines disagree on {query:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn warm_engine_sees_added_facts_and_config_changes() {
+    let program = tc_program(&random_digraph(40, 60, SEED + 8), true);
+    let config = EngineConfig::interpreted();
+    let from_0: Query = ("Path", vec![QueryBinding::bound_int(0), QueryBinding::Free]);
+    let mut engine = Carac::new(program.clone()).with_config(config);
+    answer(&engine, &from_0);
+
+    // New edges out of 0 reach new nodes.
+    engine
+        .add_edge_facts("Edge", &[(0, 100), (100, 101)])
+        .unwrap();
+    let mut reference = Carac::new(program.clone()).with_config(config);
+    reference
+        .add_edge_facts("Edge", &[(0, 100), (100, 101)])
+        .unwrap();
+    let warm = answer(&engine, &from_0);
+    assert!(warm.tuples.contains(&Tuple::pair(0, 101)));
+    assert_eq!(warm, answer(&reference, &from_0));
+
+    // An asserted Path fact makes the goal ineligible: the query must now
+    // fall back and include the asserted fact.
+    engine.add_fact_ints("Path", &[0, 200]).unwrap();
+    reference.add_fact_ints("Path", &[0, 200]).unwrap();
+    let warm = answer(&engine, &from_0);
+    assert!(warm.fallback, "a fact-bearing goal must fall back");
+    assert!(warm.tuples.contains(&Tuple::pair(0, 200)));
+    assert_eq!(warm, answer(&reference, &from_0));
+
+    // A new config answers like a fresh engine built with it.
+    for config in [
+        EngineConfig::interpreted_unindexed(),
+        EngineConfig::jit(BackendKind::Bytecode, false).with_parallelism(2),
+        EngineConfig::ahead_of_time(true, true),
+    ] {
+        engine = engine.with_config(config);
+        reference = reference.with_config(config);
+        assert_eq!(answer(&engine, &from_0), answer(&reference, &from_0));
+    }
+}
+
+#[test]
+fn threads_sharing_one_engine_agree_with_serial_answers() {
+    let mut rng = SmallRng::seed_from_u64(SEED + 9);
+    for (program, shapes, constants) in warm_workloads() {
+        let queries = query_sequence(&shapes, &constants, &mut rng);
+        let config = EngineConfig::jit(BackendKind::Lambda, false);
+        let serial_engine = Carac::new(program.clone()).with_config(config);
+        let serial: Vec<Fingerprint> = queries.iter().map(|q| answer(&serial_engine, q)).collect();
+        let shared = Carac::new(program).with_config(config);
+        // Both threads start together, so their first queries of each
+        // shape race to prepare it; the second thread walks the sequence
+        // backwards.
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = [false, true]
+                .into_iter()
+                .map(|backwards| {
+                    let (shared, start, queries) = (&shared, &start, &queries);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut order: Vec<usize> = (0..queries.len()).collect();
+                        if backwards {
+                            order.reverse();
+                        }
+                        let mut answers: Vec<Option<Fingerprint>> =
+                            (0..queries.len()).map(|_| None).collect();
+                        for i in order {
+                            answers[i] = Some(answer(shared, &queries[i]));
+                        }
+                        answers
+                    })
+                })
+                .collect();
+            for worker in workers {
+                let answers = worker.join().expect("query thread panicked");
+                for ((got, want), query) in answers.into_iter().zip(&serial).zip(&queries) {
+                    assert_eq!(
+                        got.as_ref(),
+                        Some(want),
+                        "concurrent answer differs on {query:?}"
+                    );
+                }
+            }
+        });
     }
 }
