@@ -15,8 +15,10 @@
 //!   `EngineConfig::with_verify` on the interpreter (plan validation) and
 //!   the bytecode JIT (plan validation + bytecode verification at install
 //!   time); every row asserts identical output cardinality and that the
-//!   verify-on overhead stays under 3% (plus a small absolute epsilon
-//!   against timer noise at smoke scales).
+//!   verify-on time stays within 1.03 × verify-off + 5 ms (best of 3
+//!   each).  At default scale a run takes 30–70 ms, so the 5 ms term
+//!   exceeds the measured difference, which is within run-to-run noise:
+//!   the gate catches a gross regression, not a 3% one.
 //!
 //! Results are written as a JSON artifact (default `BENCH_lint.json`,
 //! override with `CARAC_BENCH_JSON`) for CI to archive.
@@ -421,6 +423,6 @@ fn main() {
         )
     );
     println!("(every row asserts bit-identical output cardinality with and without pruning,");
-    println!(" identical results with and without verification at <3% overhead, and the lint");
+    println!(" identical results with and without verification within 1.03x + 5 ms, and the lint");
     println!(" sweep asserts zero error-level diagnostics on our own benchmarks.)");
 }

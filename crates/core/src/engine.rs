@@ -43,9 +43,13 @@ pub(crate) struct LiveSession {
 }
 
 /// A goal-directed query prepared for one `(goal, adornment)`: the
-/// constant-free magic rewrite plus a context with its facts loaded and its
-/// indexes built.  Each query of that shape clones the context and adds
-/// only its seed and the engine's extra facts.
+/// constant-free magic rewrite plus a context with its facts loaded, its
+/// indexes built and its relations sharded for the configured worker
+/// budget.  The context's storage is shared (`StorageManager::share`), so
+/// cloning it costs one reference-count bump per relation.  Each query of
+/// that shape reads the loaded EDB in place and copies only the relations
+/// it writes: its seed, the engine's extra facts and the derived
+/// relations, which start empty.
 #[derive(Debug)]
 struct PreparedQuery {
     /// The magic template; `None` when the goal falls back to full
@@ -55,7 +59,7 @@ struct PreparedQuery {
     /// The relation holding the answers in the evaluated program.
     answer: RelId,
     /// The evaluated program's facts and indexes, without the seed and
-    /// without the engine's extra facts.
+    /// without the engine's extra facts.  Never written after preparation.
     ctx: ExecContext,
 }
 
@@ -256,9 +260,10 @@ impl Carac {
     /// The rewrite depends only on which arguments are bound, not on their
     /// values.  The first query per goal and bound/free pattern therefore
     /// pays the rewrite and the loading of the facts into an indexed
-    /// context; later queries of that shape start from a copy of that
-    /// context and add only their constants.  Changing the config or the
-    /// facts drops the prepared queries.
+    /// context; later queries of that shape start from a clone of that
+    /// context that shares the loaded facts instead of copying them, and
+    /// add only their constants.  Changing the config or the facts drops
+    /// the prepared queries.
     ///
     /// ```
     /// use carac::{Carac, QueryBinding};
@@ -346,13 +351,17 @@ impl Carac {
         // may both prepare, identically, and the first insertion wins.
         let extra_rels: Vec<RelId> = self.extra_facts.iter().map(|&(r, _)| r).collect();
         let template = magic_template(&self.program, goal, &key.1, &extra_rels)?;
-        let (ctx, answer) = match &template {
+        let (mut ctx, answer) = match &template {
             Some(t) => (
                 self.load_context(&t.program, &t.magic_relations)?,
                 t.program.relation_by_name(&t.answer_relation)?,
             ),
             None => (self.load_context(&self.program, &[])?, goal),
         };
+        // Sharded now, so each query's `set_parallelism` finds nothing to
+        // change and leaves the shared relations shared.
+        ctx.set_parallelism(self.config.parallelism)?;
+        ctx.storage.share();
         let prepared = Arc::new(PreparedQuery {
             template,
             answer,
@@ -369,7 +378,8 @@ impl Carac {
         self.prepared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Evaluates a prepared query for `pattern` on a copy of its context.
+    /// Evaluates a prepared query for `pattern` on a clone of its context
+    /// (which shares the prepared relations until the run writes them).
     fn run_prepared(
         &self,
         prepared: &PreparedQuery,
@@ -1208,5 +1218,62 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(semi.count("Path").unwrap(), naive.count("Path").unwrap());
+    }
+
+    #[test]
+    fn warm_point_queries_read_the_prepared_edb_in_place() {
+        use carac_storage::DbKind;
+        let from_1 = [QueryBinding::bound_int(1), QueryBinding::Free];
+        for config in [
+            EngineConfig::interpreted(),
+            EngineConfig::jit(BackendKind::Lambda, false).with_parallelism(2),
+            EngineConfig::jit(BackendKind::Bytecode, false),
+            EngineConfig::ahead_of_time(true, true),
+        ] {
+            let label = config.label();
+            let mut engine = Carac::new(tc()).with_config(config);
+            engine.add_edge_facts("Edge", &[(4, 5)]).unwrap();
+            let path = engine.program.relation_by_name("Path").unwrap();
+            assert_eq!(engine.query("Path", &from_1).unwrap().count(), 4);
+
+            // The warm query's run read the prepared EDB where it lies; it
+            // copied `Edge` only where the extra fact landed, and its own
+            // derived relations.
+            let prepared = engine.prepared(path, vec![true, false]).unwrap();
+            let ran = engine.run_prepared(&prepared, &from_1).unwrap();
+            let program = prepared.program(&engine.program);
+            let edge = program.relation_by_name("Edge").unwrap();
+            let answer = prepared.answer;
+            let shared = |kind, rel| {
+                std::ptr::eq(
+                    prepared.ctx.storage.relation(kind, rel).unwrap(),
+                    ran.storage.relation(kind, rel).unwrap(),
+                )
+            };
+            assert!(!shared(DbKind::Derived, edge), "{label}");
+            assert!(shared(DbKind::DeltaNew, edge), "{label}");
+            assert!(!shared(DbKind::Derived, answer), "{label}");
+            assert_eq!(ran.derived_count(edge), 4, "{label}");
+            assert_eq!(prepared.ctx.derived_count(edge), 3, "{label}");
+
+            // Without extra facts, no EDB relation is copied at all, and the
+            // prepared context still holds only the program's facts.
+            engine = Carac::new(tc()).with_config(config);
+            assert_eq!(engine.query("Path", &from_1).unwrap().count(), 3);
+            let prepared = engine.prepared(path, vec![true, false]).unwrap();
+            let ran = engine.run_prepared(&prepared, &from_1).unwrap();
+            let shared = |kind, rel| {
+                std::ptr::eq(
+                    prepared.ctx.storage.relation(kind, rel).unwrap(),
+                    ran.storage.relation(kind, rel).unwrap(),
+                )
+            };
+            for kind in DbKind::ALL {
+                assert!(shared(kind, edge), "{label}: {kind:?} Edge was copied");
+            }
+            assert!(!shared(DbKind::Derived, answer), "{label}");
+            assert_eq!(prepared.ctx.derived_count(edge), 3, "{label}");
+            assert_eq!(prepared.ctx.derived_count(answer), 0, "{label}");
+        }
     }
 }

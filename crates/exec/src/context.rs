@@ -20,8 +20,12 @@ use crate::stats::RunStats;
 /// code (paper §V-B.3).
 ///
 /// A context cloned after loading facts but before a run is a ready
-/// starting point for another run over the same facts; the engine's
-/// prepared goal-directed queries reuse their loaded facts this way.
+/// starting point for another run over the same facts.  Cloning copies
+/// every relation the storage owns; after [`StorageManager::share`] it
+/// copies none, and each clone copies a relation only when it first writes
+/// it.  The engine's prepared goal-directed queries share their loaded
+/// facts this way: a query owns only its seed, its extra facts and the
+/// relations its run derives.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
     /// The relational storage.

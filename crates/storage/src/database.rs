@@ -15,6 +15,18 @@
 //! writing.  At the end of each iteration [`StorageManager::swap_and_clear`]
 //! merges delta-new into derived, swaps the two delta databases and clears
 //! the new write-side.
+//!
+//! Each relation of a [`Database`] is held in a slot that either owns it or
+//! shares it read-only behind an [`Arc`].  [`StorageManager::share`] moves
+//! every relation into a shared slot; a clone of the manager then bumps one
+//! reference count per relation instead of copying rows, indexes or shard
+//! partitions.  The first write to a shared relation (through
+//! [`Database::relation_mut`]) gives that clone its own copy, so clones
+//! never observe each other's writes.  The engine's prepared goal-directed
+//! queries use this: every query starts from a clone of the prepared
+//! context, shares its loaded EDB and owns only the relations it writes.
+
+use std::sync::Arc;
 
 use crate::error::StorageError;
 use crate::hasher::FxHashMap;
@@ -42,10 +54,67 @@ impl DbKind {
     pub const ALL: [DbKind; 3] = [DbKind::Derived, DbKind::DeltaKnown, DbKind::DeltaNew];
 }
 
+/// One relation of a [`Database`]: owned outright, or shared read-only with
+/// other clones of the database until it is first written.
+///
+/// The owned relation is kept inline: boxing it would add a pointer hop to
+/// every relation access on the per-row paths, to save a few hundred bytes
+/// per registered relation.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone)]
+enum Slot {
+    Owned(Relation),
+    Shared(Arc<Relation>),
+}
+
+impl Slot {
+    #[inline]
+    fn get(&self) -> &Relation {
+        match self {
+            Slot::Owned(relation) => relation,
+            Slot::Shared(relation) => relation,
+        }
+    }
+
+    /// Write access: a shared slot first becomes an owned copy.  The owned
+    /// case is a plain branch — no atomic operation on the per-row paths.
+    #[inline]
+    fn get_mut(&mut self) -> &mut Relation {
+        if let Slot::Shared(_) = self {
+            self.unshare();
+        }
+        match self {
+            Slot::Owned(relation) => relation,
+            Slot::Shared(_) => unreachable!("unshare leaves the slot owned"),
+        }
+    }
+
+    /// Replaces a shared slot by an owned copy of its relation.  Kept out
+    /// of line so the copy and the reference-count drop stay off the
+    /// per-row paths that inline [`Slot::get_mut`].
+    #[cold]
+    #[inline(never)]
+    fn unshare(&mut self) {
+        if let Slot::Shared(shared) = self {
+            *self = Slot::Owned(Relation::clone(shared));
+        }
+    }
+
+    fn into_shared(self) -> Slot {
+        match self {
+            Slot::Owned(relation) => Slot::Shared(Arc::new(relation)),
+            shared @ Slot::Shared(_) => shared,
+        }
+    }
+}
+
 /// A set of relations addressed by [`RelId`].
+///
+/// Cloning copies owned relations and shares shared ones (see the module
+/// docs).
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: Vec<Relation>,
+    relations: Vec<Slot>,
 }
 
 impl Database {
@@ -62,7 +131,7 @@ impl Database {
             self.relations.len(),
             "relations must be registered in id order"
         );
-        self.relations.push(Relation::new(schema));
+        self.relations.push(Slot::Owned(Relation::new(schema)));
     }
 
     /// Number of registered relations.
@@ -74,24 +143,36 @@ impl Database {
     pub fn relation(&self, id: RelId) -> Result<&Relation> {
         self.relations
             .get(id.index())
+            .map(Slot::get)
             .ok_or(StorageError::UnknownRelation(id))
     }
 
-    /// Mutable access to a relation.
+    /// Mutable access to a relation.  A shared relation is copied into this
+    /// database first, so the write never reaches the other sharers.
     pub fn relation_mut(&mut self, id: RelId) -> Result<&mut Relation> {
         self.relations
             .get_mut(id.index())
+            .map(Slot::get_mut)
             .ok_or(StorageError::UnknownRelation(id))
     }
 
     /// Iterator over all relations.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.iter()
+        self.relations.iter().map(Slot::get)
     }
 
     /// Cardinality of a relation, 0 if unknown (defensive for stats paths).
     pub fn cardinality(&self, id: RelId) -> usize {
-        self.relations.get(id.index()).map_or(0, Relation::len)
+        self.relation(id).map_or(0, Relation::len)
+    }
+
+    /// Moves every relation into a shared slot: clones of this database
+    /// made afterwards share each relation until they first write it.
+    pub(crate) fn share(&mut self) {
+        self.relations = std::mem::take(&mut self.relations)
+            .into_iter()
+            .map(Slot::into_shared)
+            .collect();
     }
 }
 
@@ -200,6 +281,8 @@ impl StorageManager {
     /// Sharding only adds a partition view over the row offsets; scans,
     /// lookups and insertion order are unaffected, so serial evaluation on a
     /// sharded manager is identical to evaluation on an unsharded one.
+    /// Relations already sharded this way are not touched, so a shared
+    /// relation stays shared.
     pub fn set_sharding(&mut self, shard_count: usize) -> Result<()> {
         for db in [
             &mut self.derived,
@@ -207,13 +290,23 @@ impl StorageManager {
             &mut self.delta_new,
         ] {
             for schema in &self.schemas {
-                if schema.arity == 0 {
+                if schema.arity == 0 || db.relation(schema.id)?.is_sharded_as(shard_count, 0) {
                     continue;
                 }
                 db.relation_mut(schema.id)?.set_sharding(shard_count, 0)?;
             }
         }
         Ok(())
+    }
+
+    /// Moves every relation of the three databases into a shared slot.
+    /// Clones made afterwards share rows, dedup tables, indexes and shard
+    /// partitions instead of copying them; each clone copies a relation
+    /// only when it first writes it.
+    pub fn share(&mut self) {
+        self.derived.share();
+        self.delta_known.share();
+        self.delta_new.share();
     }
 
     /// The shard count configured for `rel` (1 when unsharded).
@@ -927,5 +1020,180 @@ mod tests {
             sm.relation(DbKind::Derived, RelId(99)),
             Err(StorageError::UnknownRelation(_))
         ));
+    }
+
+    /// Everything observable about one relation: every slot (liveness,
+    /// values, support count) in row order, the generation, the indexes
+    /// with their distinct counts, the shard partitions and the pool stats.
+    #[derive(Debug, PartialEq)]
+    struct RelationImage {
+        slots: Vec<(bool, Vec<Value>, u32)>,
+        generation: u64,
+        indexed_distincts: Vec<(usize, usize)>,
+        composites: Vec<Vec<usize>>,
+        shards: Vec<Vec<crate::RowId>>,
+        pool: crate::pool::PoolStats,
+    }
+
+    fn image(sm: &StorageManager) -> Vec<RelationImage> {
+        let mut images = Vec::new();
+        for kind in DbKind::ALL {
+            for r in sm.db(kind).relations() {
+                images.push(RelationImage {
+                    slots: (0..r.slot_count())
+                        .map(|row| row as crate::RowId)
+                        .map(|row| (r.is_live(row), r.row(row).to_vec(), r.support_of(row)))
+                        .collect(),
+                    generation: r.generation(),
+                    indexed_distincts: r.indexed_distincts(),
+                    composites: r.composite_indexed_columns(),
+                    shards: (0..r.shard_count())
+                        .map(|s| r.shard_rows(s).to_vec())
+                        .collect(),
+                    pool: r.pool_stats(),
+                });
+            }
+        }
+        images
+    }
+
+    fn row(a: u32, b: u32) -> [Value; 2] {
+        [Value::int(a), Value::int(b)]
+    }
+
+    /// A manager with EDB facts (some retracted), merged derived facts with
+    /// support counts, a pending delta and indexes on every relation.
+    fn populated() -> (StorageManager, RelId, RelId, RelId) {
+        let mut sm = StorageManager::new(true);
+        let edge = sm.register("Edge", 2, true);
+        let path = sm.register("Path", 2, false);
+        let out = sm.register("Out", 2, false);
+        sm.add_index(edge, 0).unwrap();
+        sm.add_composite_index(edge, &[0, 1]).unwrap();
+        sm.add_index(path, 0).unwrap();
+        for i in 0..200u32 {
+            sm.insert_fact_row(edge, &row(i % 17, i)).unwrap();
+        }
+        for i in (0..200u32).filter(|i| i % 4 != 0) {
+            sm.retract_fact_row(edge, &row(i % 17, i)).unwrap();
+        }
+        for i in 0..40u32 {
+            sm.insert_derived_row(path, &row(i % 5, i)).unwrap();
+            sm.insert_derived_row(path, &row(i % 5, i)).unwrap();
+        }
+        sm.swap_and_clear(&[path]).unwrap();
+        for i in 40..60u32 {
+            sm.insert_derived_row(path, &row(i % 5, i)).unwrap();
+        }
+        (sm, edge, path, out)
+    }
+
+    type Mutation = (&'static str, fn(&mut StorageManager, RelId, RelId, RelId));
+
+    /// Every mutating operation of the manager, each applied to a
+    /// populated manager.
+    fn mutations() -> Vec<Mutation> {
+        use crate::ops::AggFunc;
+        vec![
+            ("insert_fact_row", |sm, edge, _, _| {
+                sm.insert_fact_row(edge, &row(1000, 1)).unwrap();
+            }),
+            ("insert_derived_row (new)", |sm, _, path, _| {
+                sm.insert_derived_row(path, &row(1000, 1)).unwrap();
+            }),
+            ("insert_derived_row (support)", |sm, _, path, _| {
+                sm.insert_derived_row(path, &row(1, 1)).unwrap();
+            }),
+            ("swap_and_clear", |sm, _, path, _| {
+                sm.swap_and_clear(&[path]).unwrap();
+            }),
+            ("clear_deltas", |sm, edge, path, _| {
+                sm.clear_deltas(&[edge, path]).unwrap();
+            }),
+            ("retract_fact_row", |sm, edge, _, _| {
+                assert!(sm.retract_fact_row(edge, &row(0, 0)).unwrap());
+            }),
+            ("retract_derived_row", |sm, _, path, _| {
+                assert!(sm.retract_derived_row(path, &row(1, 1)).unwrap());
+            }),
+            ("add_index", |sm, edge, path, _| {
+                sm.add_index(edge, 1).unwrap();
+                sm.add_index(path, 1).unwrap();
+            }),
+            ("add_composite_index", |sm, _, path, _| {
+                sm.add_composite_index(path, &[0, 1]).unwrap();
+            }),
+            ("set_sharding", |sm, _, _, _| {
+                sm.set_sharding(4).unwrap();
+            }),
+            ("compact_derived", |sm, _, _, _| {
+                assert_eq!(sm.compact_derived(), 1);
+            }),
+            ("aggregate_into", |sm, edge, _, out| {
+                sm.aggregate_into(edge, out, &[(1, AggFunc::Count)])
+                    .unwrap();
+            }),
+            ("aggregate_lattice_into", |sm, edge, _, out| {
+                sm.aggregate_lattice_into(edge, out, &[(1, AggFunc::Min)])
+                    .unwrap();
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_shared_clone_shares_every_relation_until_written() {
+        let (mut sm, edge, path, out) = populated();
+        sm.share();
+        let mut clone = sm.clone();
+        for kind in DbKind::ALL {
+            for rel in [edge, path, out] {
+                assert!(std::ptr::eq(
+                    sm.relation(kind, rel).unwrap(),
+                    clone.relation(kind, rel).unwrap()
+                ));
+            }
+        }
+        // Re-applying the current sharding writes nothing.
+        clone.set_sharding(1).unwrap();
+        assert!(std::ptr::eq(
+            sm.relation(DbKind::Derived, edge).unwrap(),
+            clone.relation(DbKind::Derived, edge).unwrap()
+        ));
+        // A write copies only the relation it reaches.
+        clone.insert_derived_row(path, &row(1000, 1)).unwrap();
+        assert!(!std::ptr::eq(
+            sm.relation(DbKind::DeltaNew, path).unwrap(),
+            clone.relation(DbKind::DeltaNew, path).unwrap()
+        ));
+        assert!(std::ptr::eq(
+            sm.relation(DbKind::Derived, edge).unwrap(),
+            clone.relation(DbKind::Derived, edge).unwrap()
+        ));
+    }
+
+    #[test]
+    fn mutating_a_shared_clone_leaves_the_original_bit_identical() {
+        for (name, mutate) in mutations() {
+            let (mut original, edge, path, out) = populated();
+            original.share();
+            let before = image(&original);
+            let mut clone = original.clone();
+            mutate(&mut clone, edge, path, out);
+            assert_ne!(image(&clone), before, "{name} changed nothing");
+            assert!(image(&original) == before, "{name} reached the original");
+        }
+    }
+
+    #[test]
+    fn mutating_the_original_leaves_a_shared_clone_bit_identical() {
+        for (name, mutate) in mutations() {
+            let (mut original, edge, path, out) = populated();
+            original.share();
+            let clone = original.clone();
+            let before = image(&clone);
+            mutate(&mut original, edge, path, out);
+            assert_ne!(image(&original), before, "{name} changed nothing");
+            assert!(image(&clone) == before, "{name} reached the clone");
+        }
     }
 }

@@ -302,8 +302,9 @@ impl Relation {
 
     /// Partitions the relation's rows into `shard_count` hash shards keyed
     /// on `shard_key`'s value, rebuilding the partitions for the existing
-    /// rows.  A count of 0 or 1 disables sharding.  Returns an error when
-    /// the key column is out of bounds.
+    /// rows.  A count of 0 or 1 disables sharding; an unchanged count and
+    /// key is a no-op.  Returns an error when the key column is out of
+    /// bounds.
     ///
     /// Shard membership is a pure function of the key value (the pool's
     /// per-value hash), so two relations sharded the same way agree on which
@@ -317,10 +318,21 @@ impl Relation {
                 arity: self.schema.arity,
             });
         }
+        if self.is_sharded_as(shard_count, shard_key) {
+            return Ok(());
+        }
         self.shard_count = shard_count.max(1);
         self.shard_key = shard_key;
         self.rebuild_shards();
         Ok(())
+    }
+
+    /// Whether [`Relation::set_sharding`] with these arguments would leave
+    /// the relation unchanged.  The partitions are maintained on every
+    /// insert and retraction, so an unchanged configuration needs no
+    /// rebuild.
+    pub(crate) fn is_sharded_as(&self, shard_count: usize, shard_key: usize) -> bool {
+        self.shard_count == shard_count.max(1) && self.shard_key == shard_key
     }
 
     /// Number of shard partitions (1 when sharding is disabled).
@@ -1138,6 +1150,46 @@ mod tests {
             r.set_sharding(2, 9),
             Err(StorageError::ColumnOutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn resharding_rebuilds_partitions_and_an_unchanged_configuration_is_kept() {
+        // Every live row in its key value's shard, in row-id order.
+        fn rebuilt(r: &Relation, count: usize, key: usize) -> Vec<Vec<RowId>> {
+            let mut shards = vec![Vec::new(); count];
+            for row in (0..r.slot_count()).map(|row| row as RowId) {
+                if r.is_live(row) {
+                    shards[super::shard_of(r.row(row)[key], count)].push(row);
+                }
+            }
+            shards
+        }
+        fn partitions(r: &Relation) -> Vec<Vec<RowId>> {
+            (0..r.shard_count())
+                .map(|s| r.shard_rows(s).to_vec())
+                .collect()
+        }
+        let mut r = Relation::new(edge_schema());
+        r.set_sharding(4, 0).unwrap();
+        for i in 0..60u32 {
+            r.insert(Tuple::pair(i % 13, i)).unwrap();
+        }
+        for i in (0..60u32).step_by(3) {
+            r.retract(&Tuple::pair(i % 13, i)).unwrap();
+        }
+        // The partitions maintained through inserts and retractions are
+        // the rebuilt ones, so an unchanged configuration keeps them.
+        assert_eq!(partitions(&r), rebuilt(&r, 4, 0));
+        r.set_sharding(4, 0).unwrap();
+        assert_eq!(partitions(&r), rebuilt(&r, 4, 0));
+        // A new count or key rebuilds them from the live rows.
+        r.set_sharding(3, 0).unwrap();
+        assert_eq!(partitions(&r), rebuilt(&r, 3, 0));
+        r.set_sharding(3, 1).unwrap();
+        assert_eq!(partitions(&r), rebuilt(&r, 3, 1));
+        r.set_sharding(1, 1).unwrap();
+        assert!(!r.is_sharded());
+        assert!(r.shard_rows(0).is_empty());
     }
 
     #[test]

@@ -636,3 +636,45 @@ fn threads_sharing_one_engine_agree_with_serial_answers() {
         });
     }
 }
+
+#[test]
+fn extra_facts_in_an_edb_relation_leave_the_prepared_query_intact() {
+    // The added edges land in the shared, prepared `Edge` relation, so every
+    // query writes them into its own copy.  Each warm answer must equal a
+    // fresh engine's: the seed and extra facts of one query never reach
+    // the prepared context the next query starts from.
+    let program = tc_program(&random_digraph(40, 60, SEED + 10), true);
+    let added = [(0, 100), (100, 101), (7, 0), (39, 102)];
+    let shapes = vec![
+        ("Path", vec![true, false]),
+        ("Path", vec![false, true]),
+        ("Path", vec![true, true]),
+        ("Edge", vec![true, false]), // extensional goal
+    ];
+    let constants: Vec<Value> = [0u32, 7, 39, 100, 101]
+        .into_iter()
+        .map(Value::int)
+        .collect();
+    let mut rng = SmallRng::seed_from_u64(SEED + 11);
+    let queries = query_sequence(&shapes, &constants, &mut rng);
+    let with_added = |config: EngineConfig| {
+        let mut engine = Carac::new(program.clone()).with_config(config);
+        engine.add_edge_facts("Edge", &added).unwrap();
+        engine
+    };
+    for (label, config) in engine_grid() {
+        let warm = with_added(config);
+        for query in &queries {
+            assert_eq!(
+                answer(&warm, query),
+                answer(&with_added(config), query),
+                "{label}: warm and fresh engines disagree on {query:?}"
+            );
+        }
+        let from_0 = answer(
+            &warm,
+            &("Path", vec![QueryBinding::bound_int(0), QueryBinding::Free]),
+        );
+        assert!(from_0.tuples.contains(&Tuple::pair(0, 101)), "{label}");
+    }
+}
