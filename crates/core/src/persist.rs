@@ -191,13 +191,14 @@ impl Carac {
     }
 
     /// Builds a fresh live session from `snapshot`: validates the symbol
-    /// dictionary and catalog against the program, prepares a context
-    /// skeleton (relations, indexes) and overwrites its derived database
-    /// with the snapshot's rows, support counts and generation counters.
+    /// dictionary and catalog against the program, builds a context
+    /// skeleton (relations and indexes, no facts) and fills its derived
+    /// database with the snapshot's rows, support counts and generation
+    /// counters.
     /// Replaces any current session; detaches any current journal.
     fn install_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), CaracError> {
         snapshot.validate_symbols(self.program().symbols())?;
-        let mut ctx = ExecContext::prepare(self.program(), self.config().use_indexes)?;
+        let mut ctx = ExecContext::skeleton(self.program(), self.config().use_indexes)?;
         ctx.set_parallelism(self.config().parallelism)?;
         if let Some(trace) = self.config().tracing {
             ctx.stats.tracer = carac_exec::Tracer::new(trace);

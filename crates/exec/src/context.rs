@@ -66,6 +66,16 @@ impl ExecContext {
     /// the indexes implied by the rules (when `use_indexes` is set) and
     /// loads the program's static facts.
     pub fn prepare(program: &Program, use_indexes: bool) -> Result<ExecContext, ExecError> {
+        let mut ctx = ExecContext::skeleton(program, use_indexes)?;
+        ctx.load_facts(program)?;
+        Ok(ctx)
+    }
+
+    /// [`ExecContext::prepare`] without the facts: every relation
+    /// registered and every rule-implied index requested, all relations
+    /// empty.  Recovery starts here and installs a snapshot's rows instead
+    /// of loading facts it would throw away.
+    pub fn skeleton(program: &Program, use_indexes: bool) -> Result<ExecContext, ExecError> {
         let mut storage = StorageManager::new(use_indexes);
         for decl in program.relations() {
             storage.register(&decl.name, decl.arity, decl.is_edb);
@@ -82,9 +92,6 @@ impl ExecContext {
                 composite_indexed.push((rel, cols));
             }
         }
-        for (rel, tuple) in program.facts() {
-            storage.insert_fact(*rel, tuple.clone())?;
-        }
         let is_idb = program.relations().iter().map(|d| !d.is_edb).collect();
         let arities = program.relations().iter().map(|d| d.arity).collect();
         Ok(ExecContext {
@@ -100,6 +107,15 @@ impl ExecContext {
             verify: cfg!(debug_assertions),
             stats: RunStats::default(),
         })
+    }
+
+    /// Loads the program's static facts (the second half of
+    /// [`ExecContext::prepare`]).
+    fn load_facts(&mut self, program: &Program) -> Result<(), ExecError> {
+        for (rel, tuple) in program.facts() {
+            self.storage.insert_fact(*rel, tuple.clone())?;
+        }
+        Ok(())
     }
 
     /// Toggles static artifact verification for this run (see

@@ -16,6 +16,14 @@
 //! merges delta-new into derived, swaps the two delta databases and clears
 //! the new write-side.
 //!
+//! All three databases carry the same index definitions.  The rotation
+//! swaps a relation's indexes together with its rows, so delta-new must be
+//! indexed like delta-known: only then is every delta-known relation
+//! indexed on every iteration, as the optimizer assumes when it reorders a
+//! join to probe a delta.  A composite request that covers every column of
+//! a relation builds no index; probes binding the whole row go to the row
+//! pool's dedup table instead (see [`Relation::probe_rows`]).
+//!
 //! Each relation of a [`Database`] is held in a slot that either owns it or
 //! shares it read-only behind an [`Arc`].  [`StorageManager::share`] moves
 //! every relation into a shared slot; a clone of the manager then bumps one
@@ -246,30 +254,40 @@ impl StorageManager {
         self.schemas.len()
     }
 
-    /// Requests a hash index on `(rel, column)` in the derived and
-    /// delta-known databases (the two read-side databases).  No-op when the
-    /// manager was created with indexes disabled.
+    /// Requests a hash index on `(rel, column)` in all three databases.
+    /// Delta-new is indexed too: the iteration boundary rotates it into
+    /// delta-known together with its indexes.  No-op when the manager was
+    /// created with indexes disabled.
     pub fn add_index(&mut self, rel: RelId, column: usize) -> Result<()> {
         if !self.use_indexes {
             return Ok(());
         }
-        self.derived.relation_mut(rel)?.add_index(column)?;
-        self.delta_known.relation_mut(rel)?.add_index(column)?;
+        for db in [
+            &mut self.derived,
+            &mut self.delta_known,
+            &mut self.delta_new,
+        ] {
+            db.relation_mut(rel)?.add_index(column)?;
+        }
         Ok(())
     }
 
-    /// Requests a composite hash index on `(rel, columns)` in the two
-    /// read-side databases.  No-op when indexes are disabled.
+    /// Requests a composite hash index on `(rel, columns)` in all three
+    /// databases (see [`StorageManager::add_index`]).  A request covering
+    /// every column of `rel` builds no index: full-key probes go to the
+    /// dedup table ([`Relation::add_composite_index`]).  No-op when indexes
+    /// are disabled.
     pub fn add_composite_index(&mut self, rel: RelId, columns: &[usize]) -> Result<()> {
         if !self.use_indexes {
             return Ok(());
         }
-        self.derived
-            .relation_mut(rel)?
-            .add_composite_index(columns)?;
-        self.delta_known
-            .relation_mut(rel)?
-            .add_composite_index(columns)?;
+        for db in [
+            &mut self.derived,
+            &mut self.delta_known,
+            &mut self.delta_new,
+        ] {
+            db.relation_mut(rel)?.add_composite_index(columns)?;
+        }
         Ok(())
     }
 
@@ -426,7 +444,9 @@ impl StorageManager {
     ///
     /// The merge appends rows straight from delta-new's pool, reusing its
     /// retained row hashes; the rotation itself is an O(1) swap of pool
-    /// internals (no row is copied, reinserted or rehashed).
+    /// internals (no row is copied, reinserted or rehashed).  The indexes
+    /// travel with the rows, and both delta databases carry the same index
+    /// definitions, so delta-known stays indexed on every iteration.
     ///
     /// Returns the number of facts merged into the derived database across
     /// all listed relations; the caller uses "0" as the fixpoint signal.
@@ -446,6 +466,12 @@ impl StorageManager {
             let (known_db, new_db) = (&mut self.delta_known, &mut self.delta_new);
             let known = known_db.relation_mut(rel)?;
             let new = new_db.relation_mut(rel)?;
+            debug_assert!(
+                known.indexed_columns() == new.indexed_columns()
+                    && known.composite_indexed_columns() == new.composite_indexed_columns(),
+                "the delta databases of `{}` carry different index definitions",
+                known.name()
+            );
             known.clear();
             known.swap_contents(new);
         }
@@ -908,6 +934,57 @@ mod tests {
             .relation(DbKind::Derived, edge)
             .unwrap()
             .has_composite_index(&[0, 1]));
+    }
+
+    /// `(single-column, composite)` index definitions of `rel` in `kind`.
+    fn index_definitions(
+        sm: &StorageManager,
+        kind: DbKind,
+        rel: RelId,
+    ) -> (Vec<usize>, Vec<Vec<usize>>) {
+        let r = sm.relation(kind, rel).unwrap();
+        (r.indexed_columns(), r.composite_indexed_columns())
+    }
+
+    #[test]
+    fn delta_rotation_keeps_every_database_indexed_alike() {
+        // Regression: indexes used to be declared on derived and
+        // delta-known only, and the rotation swaps index definitions along
+        // with the rows — so delta-known lost its indexes on every other
+        // iteration.
+        let mut sm = StorageManager::new(true);
+        let path = sm.register("Path", 2, false);
+        let triple = sm.register("Triple", 3, false);
+        sm.add_index(path, 0).unwrap();
+        sm.add_composite_index(path, &[1, 0]).unwrap();
+        sm.add_index(triple, 2).unwrap();
+        sm.add_composite_index(triple, &[0, 1]).unwrap();
+        for k in 1..=4u32 {
+            for i in 0..10 * k {
+                sm.insert_derived_row(path, &row(k, i)).unwrap();
+                sm.insert_derived_row(triple, &[Value::int(k), Value::int(i), Value::int(i % 3)])
+                    .unwrap();
+            }
+            sm.swap_and_clear(&[path, triple]).unwrap();
+            for rel in [path, triple] {
+                let derived = index_definitions(&sm, DbKind::Derived, rel);
+                assert!(!derived.0.is_empty() && !derived.1.is_empty());
+                for kind in [DbKind::DeltaKnown, DbKind::DeltaNew] {
+                    assert_eq!(
+                        index_definitions(&sm, kind, rel),
+                        derived,
+                        "{kind:?} after swap {k}"
+                    );
+                }
+            }
+            // The read side answers probes through its indexes.
+            let known = sm.relation(DbKind::DeltaKnown, path).unwrap();
+            assert_eq!(known.lookup_rows(0, Value::int(k)).len(), 10 * k as usize);
+            let mut scratch = Vec::new();
+            let probe = known.probe_rows(&[(1, Value::int(3)), (0, Value::int(k))], &mut scratch);
+            assert!(probe.via_composite());
+            assert_eq!(probe.iter().collect::<Vec<_>>(), vec![3]);
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! when a rule constrains several columns of the same atom at once (e.g.
 //! `Sg(px, py)` probed with both `px` and `py` bound).  A composite probe
 //! replaces the intersection of several single-column probes with one hash
-//! lookup.
+//! lookup.  A composite index is only built over a strict subset of a
+//! relation's columns: a probe binding every column is answered by the row
+//! pool's dedup table, which already maps each row hash to its row.
 //!
 //! Both index kinds store [`PostingList`]s of [`RowId`]s into the owning
 //! relation's flat row pool — up to a few rows inline, spilling to the heap

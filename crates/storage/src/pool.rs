@@ -10,9 +10,12 @@
 //!   per-tuple allocation,
 //! * row identity is a dense [`RowId`] (`u32`), the offset of the row in the
 //!   pool divided by the stride,
-//! * duplicate elimination goes through a single `FxHashMap<u64, PostingList>`
-//!   keyed by a 64-bit row hash; a hit is confirmed by comparing the actual
-//!   row slice, so hash collisions cost a comparison, never a wrong answer,
+//! * duplicate elimination goes through a single `FxHashMap<u64, RowId>`
+//!   keyed by a 64-bit row hash (true collisions spill to a side table); a
+//!   hit is confirmed by comparing the actual row slice, so hash collisions
+//!   cost a comparison, never a wrong answer.  The same table answers every
+//!   relation probe that binds all columns, so no relation keeps a second
+//!   full-key index,
 //! * the per-row hash is retained in a side vector, so merging one pool into
 //!   another ([`RowPool::insert_hashed`]) never rehashes a row.
 //!
@@ -466,6 +469,30 @@ impl RowPool {
                 }
             }
             None => None,
+        }
+    }
+
+    /// The live rows whose retained hash is `hash`: the dedup table's
+    /// primary row, then any overflow rows.  Borrowed straight from the
+    /// table in the common case; only a true 64-bit collision assembles the
+    /// list in `scratch`.  Candidates are not confirmed against any values.
+    #[inline]
+    pub(crate) fn rows_with_hash<'a>(
+        &'a self,
+        hash: u64,
+        scratch: &'a mut Vec<RowId>,
+    ) -> &'a [RowId] {
+        let Some(first) = self.dedup.get(&hash) else {
+            return &[];
+        };
+        match self.overflow.get(&hash) {
+            None => std::slice::from_ref(first),
+            Some(rest) => {
+                scratch.clear();
+                scratch.push(*first);
+                scratch.extend_from_slice(rest);
+                scratch
+            }
         }
     }
 

@@ -18,7 +18,10 @@ use crate::Result;
 /// * `indexes` — optional per-column hash indexes used by index-nested-loop
 ///   joins when the engine runs in "indexed" mode,
 /// * `composites` — optional multi-column hash indexes for atoms probed on
-///   several bound columns at once,
+///   several (but not all) bound columns at once.  A composite request that
+///   covers *every* column builds nothing: a probe binding the whole row is
+///   answered by the pool's dedup table, which already maps each row hash
+///   to its row,
 /// * `shards` — optional hash partitions of the row ids by shard-key value,
 ///   enabling independent parallel scans of disjoint row subsets (see
 ///   [`Relation::set_sharding`]).
@@ -32,7 +35,7 @@ use crate::Result;
 ///
 /// let mut edges = Relation::new(RelationSchema::new(RelId(0), "Edge", 2, true));
 /// edges.add_index(0)?;                    // single-column hash index
-/// edges.add_composite_index(&[0, 1])?;    // multi-column hash index
+/// edges.add_composite_index(&[0, 1])?;    // full key: served by the dedup table
 /// edges.insert(Tuple::pair(1, 2))?;
 /// edges.insert(Tuple::pair(1, 3))?;
 /// assert!(!edges.insert(Tuple::pair(1, 2))?); // set semantics: duplicate
@@ -51,6 +54,9 @@ pub struct Relation {
     pool: RowPool,
     indexes: Vec<ColumnIndex>,
     composites: Vec<CompositeIndex>,
+    /// Whether a composite request covered every column.  Such probes go to
+    /// the pool's dedup table; no [`CompositeIndex`] is kept for them.
+    full_key_composite: bool,
     /// Number of shard partitions; `1` disables sharding.
     shard_count: usize,
     /// Column whose value hashes a row into its shard.
@@ -166,6 +172,7 @@ impl Relation {
             pool: RowPool::new(arity),
             indexes: Vec::new(),
             composites: Vec::new(),
+            full_key_composite: false,
             shard_count: 1,
             shard_key: 0,
             shards: Vec::new(),
@@ -255,6 +262,10 @@ impl Relation {
     /// columns; a single column degrades to [`Relation::add_index`]).
     /// Idempotent; existing rows are back-filled.  Returns an error if any
     /// column is out of bounds.
+    ///
+    /// A request covering every column is recorded but builds no index:
+    /// probes binding the whole row resolve through the pool's dedup table
+    /// (see [`Relation::probe_rows`]).
     pub fn add_composite_index(&mut self, columns: &[usize]) -> Result<()> {
         let mut canonical = columns.to_vec();
         canonical.sort_unstable();
@@ -271,6 +282,10 @@ impl Relation {
         match canonical.as_slice() {
             [] => Ok(()),
             [single] => self.add_index(*single),
+            _ if canonical.len() == self.schema.arity => {
+                self.full_key_composite = true;
+                Ok(())
+            }
             _ => {
                 if self.composites.iter().any(|ix| ix.columns() == canonical) {
                     return Ok(());
@@ -283,20 +298,29 @@ impl Relation {
         }
     }
 
-    /// The column sets currently covered by composite indexes.
+    /// The column sets of every composite request: the built indexes in
+    /// creation order, then the full key if it was requested.
     pub fn composite_indexed_columns(&self) -> Vec<Vec<usize>> {
-        self.composites
+        let mut columns: Vec<Vec<usize>> = self
+            .composites
             .iter()
             .map(|ix| ix.columns().to_vec())
-            .collect()
+            .collect();
+        if self.full_key_composite {
+            columns.push((0..self.schema.arity).collect());
+        }
+        columns
     }
 
-    /// Whether a composite index over exactly `columns` (order-insensitive)
-    /// exists.
+    /// Whether a composite request over exactly `columns` (order-insensitive)
+    /// exists, including a full-key request answered by the dedup table.
     pub fn has_composite_index(&self, columns: &[usize]) -> bool {
         let mut canonical = columns.to_vec();
         canonical.sort_unstable();
         canonical.dedup();
+        if self.full_key_composite && canonical.iter().copied().eq(0..self.schema.arity) {
+            return true;
+        }
         self.composites.iter().any(|ix| ix.columns() == canonical)
     }
 
@@ -637,29 +661,56 @@ impl Relation {
     }
 
     /// Row ids of the rows matching *all* the given `(column, value)`
-    /// equality filters, through one composite-index probe — `None` when no
-    /// composite index covers the filtered columns.
+    /// equality filters, through one composite probe — `None` when no
+    /// composite request covers the filtered columns.
     ///
-    /// The widest applicable composite index wins (most columns resolved in
-    /// a single hash lookup).  Candidates are confirmed against the actual
-    /// row values (composite entries are keyed by hash), so the result is
-    /// exact.  Callers fall back to a single-column
+    /// A full-key request covered by the filters wins and probes the dedup
+    /// table; otherwise the widest applicable composite index does (most
+    /// columns resolved in a single hash lookup).  Candidates are confirmed
+    /// against the actual row values (both structures are keyed by hash),
+    /// so the result is exact.  Callers fall back to a single-column
     /// [`Relation::lookup_rows`] or a scan when this returns `None`.
     pub fn lookup_rows_composite(&self, filters: &[(usize, Value)]) -> Option<Vec<RowId>> {
-        let best = self.best_composite(filters)?;
-        let hash = composite_probe_hash(best, filters);
+        let mut scratch = Vec::new();
+        // `None` columns: the full key, every column is covered.
+        let (candidates, columns) = match self.full_key_hash(filters) {
+            Some(hash) => (self.pool.rows_with_hash(hash, &mut scratch), None),
+            None => {
+                let best = self.best_composite(filters)?;
+                let hash = composite_probe_hash(best, filters);
+                (best.lookup_hash(hash), Some(best.columns()))
+            }
+        };
+        let covered =
+            |values: &[Value], c: usize| filters.iter().any(|&(col, v)| col == c && values[c] == v);
         Some(
-            best.lookup_hash(hash)
+            candidates
                 .iter()
                 .copied()
                 .filter(|&row| {
                     let values = self.pool.row(row);
-                    best.columns()
-                        .iter()
-                        .all(|&c| filters.iter().any(|&(col, v)| col == c && values[c] == v))
+                    match columns {
+                        Some(columns) => columns.iter().all(|&c| covered(values, c)),
+                        None => (0..self.schema.arity).all(|c| covered(values, c)),
+                    }
                 })
                 .collect(),
         )
+    }
+
+    /// The row hash of the key the filters bind, when a full-key composite
+    /// was requested and the filters bind every column (the first filter on
+    /// a column supplies its value, as for a composite index).  The hash is
+    /// the one the dedup table is keyed by.
+    #[inline]
+    fn full_key_hash(&self, filters: &[(usize, Value)]) -> Option<u64> {
+        if !self.full_key_composite {
+            return None;
+        }
+        (0..self.schema.arity).try_fold(crate::pool::ROW_HASH_INIT, |hash, c| {
+            let &(_, value) = filters.iter().find(|(col, _)| *col == c)?;
+            Some(mix_hash(hash, value_hash(value)))
+        })
     }
 
     /// The widest composite index whose columns are all present in
@@ -676,11 +727,12 @@ impl Relation {
             .max_by_key(|ix| ix.columns().len())
     }
 
-    /// Whether any composite index is defined (cheap gate for callers that
-    /// want to skip building a resolved-filter list when it cannot pay off).
+    /// Whether any composite request is defined, full-key ones included
+    /// (cheap gate for callers that want to skip building a resolved-filter
+    /// list when it cannot pay off).
     #[inline]
     pub fn has_composite_indexes(&self) -> bool {
-        !self.composites.is_empty()
+        self.full_key_composite || !self.composites.is_empty()
     }
 
     /// Candidate rows for a set of resolved `(column, value)` equality
@@ -688,20 +740,29 @@ impl Relation {
     /// shared by the specialized kernel, the interpreter and the bytecode
     /// VM.
     ///
-    /// Access paths, in order of preference: a composite index covering
-    /// several filtered columns, else a single-column index on any filtered
-    /// column, else a scan on the first filter (collected into the caller's
-    /// reusable `scratch` buffer), else a full scan.  The returned candidate
-    /// list borrows either an index posting list or `scratch`; **rows may
+    /// Access paths, in order of preference: the dedup table when a
+    /// full-key composite was requested and the filters bind every column,
+    /// else a composite index covering several filtered columns, else a
+    /// single-column index on any filtered column, else a scan on the first
+    /// filter (collected into the caller's reusable `scratch` buffer), else
+    /// a full scan.  Both composite paths report
+    /// [`ProbeRows::via_composite`].  The returned candidate list borrows
+    /// the dedup table, an index posting list or `scratch`; **rows may
     /// still need re-checking against filters the chosen access path did not
-    /// cover** (composite candidates are hash-keyed and may include
-    /// collision false positives).
+    /// cover** (composite and dedup candidates are hash-keyed and may
+    /// include collision false positives).
     pub fn probe_rows<'a>(
         &'a self,
         filters: &[(usize, Value)],
         scratch: &'a mut Vec<RowId>,
     ) -> ProbeRows<'a> {
         if filters.len() >= 2 {
+            if let Some(hash) = self.full_key_hash(filters) {
+                return ProbeRows {
+                    rows: ProbeSource::Slice(self.pool.rows_with_hash(hash, scratch)),
+                    via_composite: true,
+                };
+            }
             if let Some(best) = self.best_composite(filters) {
                 let hash = composite_probe_hash(best, filters);
                 return ProbeRows {
@@ -861,13 +922,17 @@ impl Relation {
     }
 
     /// Swaps the *contents* of two relations (row pool, indexes, composite
-    /// indexes and shard partitions) while leaving their schemas in place,
-    /// in O(1) — this is the primitive behind `SwapClearOp`'s delta
-    /// rotation: no row is copied, reinserted or rehashed.
+    /// indexes and requests, and shard partitions) while leaving their
+    /// schemas in place, in O(1) — this is the primitive behind
+    /// `SwapClearOp`'s delta rotation: no row is copied, reinserted or
+    /// rehashed.  Index definitions travel with the rows, so the delta
+    /// rotation keeps both sides indexed only because the storage manager
+    /// gives every database the same definitions.
     pub fn swap_contents(&mut self, other: &mut Relation) {
         std::mem::swap(&mut self.pool, &mut other.pool);
         std::mem::swap(&mut self.indexes, &mut other.indexes);
         std::mem::swap(&mut self.composites, &mut other.composites);
+        std::mem::swap(&mut self.full_key_composite, &mut other.full_key_composite);
         std::mem::swap(&mut self.shard_count, &mut other.shard_count);
         std::mem::swap(&mut self.shard_key, &mut other.shard_key);
         std::mem::swap(&mut self.shards, &mut other.shards);

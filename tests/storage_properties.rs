@@ -13,7 +13,12 @@
 //!   compaction has moved ids;
 //! * **support saturation** — random add/sub streams against an exact
 //!   `u64` shadow counter: the stored count equals the true count while it
-//!   fits, and the [`SUPPORT_SATURATED`] sentinel is sticky once reached.
+//!   fits, and the [`SUPPORT_SATURATED`] sentinel is sticky once reached;
+//! * **composite probes** — `probe_rows` and `lookup_rows_composite` agree
+//!   with the model whether a composite request is a real index (a strict
+//!   subset of the columns) or covers the full key and is answered by the
+//!   dedup table, through inserts, retractions, clears, compactions and
+//!   shared clones.
 //!
 //! The streams are seeded (same RNG as the fuzz harness), so every failure
 //! reproduces from its seed.
@@ -22,7 +27,8 @@ use std::collections::BTreeSet;
 
 use carac_analysis::rng::SmallRng;
 use carac_storage::{
-    RelId, Relation, RelationSchema, RowId, StorageError, Tuple, Value, SUPPORT_SATURATED,
+    DbKind, RelId, Relation, RelationSchema, RowId, StorageError, StorageManager, Tuple, Value,
+    SUPPORT_SATURATED,
 };
 
 const SEEDS: u64 = 40;
@@ -40,6 +46,59 @@ fn row(values: &[u32]) -> Vec<Value> {
 /// rows often enough to exercise the dedup table and tombstone reuse paths.
 fn random_row(rng: &mut SmallRng, arity: usize) -> Vec<u32> {
     (0..arity).map(|_| rng.gen_range_u32(0, 12)).collect()
+}
+
+fn raw(relation: &Relation, id: RowId) -> Vec<u32> {
+    relation.row(id).iter().map(|v| v.raw()).collect()
+}
+
+/// The rows `probe_rows` yields for `filters` once re-checked against every
+/// filter (as the execution kernels do), and whether a composite access
+/// path answered.
+fn probe_matches(relation: &Relation, filters: &[(usize, Value)]) -> (Vec<Vec<u32>>, bool) {
+    let mut scratch = Vec::new();
+    let probe = relation.probe_rows(filters, &mut scratch);
+    let rows = probe
+        .iter()
+        .filter(|&id| filters.iter().all(|&(col, v)| relation.row(id)[col] == v))
+        .map(|id| raw(relation, id))
+        .collect();
+    (rows, probe.via_composite())
+}
+
+/// Checks both composite access paths of `relation` (which carries a
+/// composite request over columns 0 and 1) against the model: a probe
+/// binding columns 0 and 1, and a probe binding every column.
+fn check_composite_probes(relation: &Relation, model_order: &[Vec<u32>], key: &[u32], ctx: &str) {
+    // Filters deliberately out of column order.
+    let pair = [(1, Value::int(key[1])), (0, Value::int(key[0]))];
+    let expected: Vec<Vec<u32>> = model_order
+        .iter()
+        .filter(|r| r[0] == key[0] && r[1] == key[1])
+        .cloned()
+        .collect();
+    let exact = relation
+        .lookup_rows_composite(&pair)
+        .expect("the request covers columns 0 and 1");
+    let exact: Vec<Vec<u32>> = exact.into_iter().map(|id| raw(relation, id)).collect();
+    assert_eq!(exact, expected, "lookup_rows_composite ({ctx})");
+    assert_eq!(
+        probe_matches(relation, &pair),
+        (expected, true),
+        "probe_rows on columns 0 and 1 ({ctx})"
+    );
+    let full: Vec<(usize, Value)> = key
+        .iter()
+        .enumerate()
+        .rev()
+        .map(|(col, &v)| (col, Value::int(v)))
+        .collect();
+    let expected: Vec<Vec<u32>> = model_order.iter().filter(|r| *r == key).cloned().collect();
+    assert_eq!(
+        probe_matches(relation, &full),
+        (expected, true),
+        "probe_rows on the full key ({ctx})"
+    );
 }
 
 /// One random op stream against a `Relation` and a naive ordered-set model,
@@ -63,7 +122,11 @@ fn run_stream(seed: u64, arity: usize, with_indexes: bool, compactions: bool) {
 
     for step in 0..OPS_PER_SEED {
         let ctx = || format!("seed {seed} arity {arity} step {step}");
-        if compactions && rng.gen_bool(0.04) {
+        if compactions && rng.gen_bool(0.01) {
+            relation.clear();
+            model_order.clear();
+            model_set.clear();
+        } else if compactions && rng.gen_bool(0.04) {
             let before = relation.generation();
             let had_dead = relation.dead_count() > 0;
             relation.compact();
@@ -152,6 +215,10 @@ fn run_stream(seed: u64, arity: usize, with_indexes: bool, compactions: bool) {
                 .map(|id| relation.row(id).iter().map(|v| v.raw()).collect())
                 .collect();
             assert_eq!(via_index, expected, "single-column index ({})", ctx());
+            if arity >= 2 {
+                let key = random_row(&mut rng, arity);
+                check_composite_probes(&relation, &model_order, &key, &ctx());
+            }
         }
     }
 }
@@ -320,4 +387,75 @@ fn retraction_resets_support_and_reinsertion_restarts_it() {
         .expect("live row");
     assert_eq!(relation.support_of(id), 1);
     assert!(!relation.support_saturated(id));
+}
+
+#[test]
+fn full_key_requests_build_no_index_and_partial_ones_do() {
+    // Arity 2: the [0, 1] request is the full key.  It is listed and
+    // answers probes, but costs no bytes beyond the pool and the column
+    // index.
+    let mut plain = test_relation(2);
+    let mut full_key = test_relation(2);
+    for relation in [&mut plain, &mut full_key] {
+        relation.add_index(0).unwrap();
+    }
+    full_key.add_composite_index(&[1, 0]).unwrap();
+    assert!(full_key.has_composite_index(&[0, 1]));
+    assert!(full_key.has_composite_indexes());
+    assert_eq!(full_key.composite_indexed_columns(), vec![vec![0, 1]]);
+    // Arity 3: the [0, 1] request is a strict subset and builds a real
+    // composite index.
+    let mut plain3 = test_relation(3);
+    let mut partial = test_relation(3);
+    partial.add_composite_index(&[0, 1]).unwrap();
+    assert_eq!(partial.composite_indexed_columns(), vec![vec![0, 1]]);
+    for i in 0..500u32 {
+        for relation in [&mut plain, &mut full_key] {
+            relation.insert_row(&row(&[i % 37, i])).unwrap();
+        }
+        for relation in [&mut plain3, &mut partial] {
+            relation.insert_row(&row(&[i % 37, i % 11, i])).unwrap();
+        }
+    }
+    assert_eq!(full_key.pool_stats(), plain.pool_stats());
+    assert!(partial.pool_stats().bytes > plain3.pool_stats().bytes);
+    let model: Vec<Vec<u32>> = (0..500u32).map(|i| vec![i % 37, i]).collect();
+    check_composite_probes(&full_key, &model, &[3, 40], "full key, present");
+    check_composite_probes(&full_key, &model, &[3, 41], "full key, absent");
+    let model3: Vec<Vec<u32>> = (0..500u32).map(|i| vec![i % 37, i % 11, i]).collect();
+    check_composite_probes(&partial, &model3, &[3, 7, 40], "partial key");
+}
+
+#[test]
+fn full_key_probes_agree_across_shared_clones() {
+    let mut sm = StorageManager::new(true);
+    let edge = sm.register("Edge", 2, true);
+    sm.add_composite_index(edge, &[0, 1]).unwrap();
+    let mut model: Vec<Vec<u32>> = Vec::new();
+    for i in 0..200u32 {
+        let values = vec![i % 13, i % 29];
+        if sm.insert_fact_row(edge, &row(&values)).unwrap() {
+            model.push(values);
+        }
+    }
+    sm.share();
+    let mut clone = sm.clone();
+    // The clone retracts every third row and adds new ones; the original
+    // must keep answering from its own (shared, then unshared) copy.
+    let mut clone_model = model.clone();
+    for values in model.iter().step_by(3) {
+        assert!(clone.retract_fact_row(edge, &row(values)).unwrap());
+    }
+    clone_model.retain(|r| !model.iter().step_by(3).any(|gone| gone == r));
+    for i in 0..40u32 {
+        let values = vec![100 + i, i];
+        assert!(clone.insert_fact_row(edge, &row(&values)).unwrap());
+        clone_model.push(values);
+    }
+    for (storage, model, name) in [(&sm, &model, "original"), (&clone, &clone_model, "clone")] {
+        let derived = storage.relation(DbKind::Derived, edge).unwrap();
+        for key in [[0, 0], [1, 1], [3, 3], [12, 12], [105, 5], [7, 100]] {
+            check_composite_probes(derived, model, &key, name);
+        }
+    }
 }
